@@ -6,6 +6,11 @@ Encrypt-then-MAC over a SHA-256 keystream in counter mode:
 * ciphertext = plaintext XOR keystream
 * tag = HMAC-SHA256(mac_key, nonce || ciphertext)
 
+The XOR is one big-integer operation over the whole payload, not a per-byte
+loop, and the keystream blocks continue one hashed ``enc_key || nonce``
+prefix.  Both give exactly the bytes of the definition above, so the
+keystream, the frame layout and every frame are unchanged.
+
 Key separation: the 32-byte session key from the DH exchange is split into
 independent encryption and MAC keys via domain-separated hashing.
 """
@@ -33,14 +38,19 @@ def _derive_keys(session_key: bytes) -> tuple[bytes, bytes]:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
+    prefix = hashlib.sha256(enc_key + nonce)
     blocks = []
     for counter in range((length + _BLOCK - 1) // _BLOCK):
-        blocks.append(
-            hashlib.sha256(
-                enc_key + nonce + counter.to_bytes(8, "big")
-            ).digest()
-        )
+        block = prefix.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
     return b"".join(blocks)[:length]
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data XOR stream`` (equal lengths) as one big-integer operation."""
+    mixed = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+    return mixed.to_bytes(len(data), "little")
 
 
 @dataclass(slots=True)
@@ -61,7 +71,7 @@ class AuthenticatedCipher:
         """
         nonce = secrets.token_bytes(_NONCE_LEN)
         stream = _keystream(self._enc_key, nonce, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        ciphertext = _xor(plaintext, stream)
         tag = hmac.new(
             self._mac_key, nonce + associated_data + ciphertext, hashlib.sha256
         ).digest()
@@ -84,4 +94,4 @@ class AuthenticatedCipher:
         if not hmac.compare_digest(tag, expected):
             raise CipherError("authentication tag mismatch")
         stream = _keystream(self._enc_key, nonce, len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
+        return _xor(ciphertext, stream)

@@ -11,7 +11,7 @@ transplanted without the private key.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import CryptoError, SignatureError
 from .numtheory import bytes_to_int, generate_distinct_primes, int_to_bytes, modinv
@@ -63,11 +63,21 @@ class RsaPublicKey:
 
 @dataclass(frozen=True, slots=True)
 class RsaPrivateKey:
-    """RSA private key; carries its public half for convenience."""
+    """RSA private key; carries its public half for convenience.
+
+    ``p``, ``q``, ``dp``, ``dq`` and ``qinv`` are the CRT parameters that
+    :meth:`sign` uses; ``d`` is kept as the textbook exponent they derive
+    from.
+    """
 
     n: int
     e: int
     d: int
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    dp: int = field(repr=False)  # d mod (p - 1)
+    dq: int = field(repr=False)  # d mod (q - 1)
+    qinv: int = field(repr=False)  # q^-1 mod p
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -83,7 +93,11 @@ class RsaPrivateKey:
         m = bytes_to_int(em)
         if m >= self.n:  # pragma: no cover - padding guarantees m < n
             raise CryptoError("encoded message does not fit the modulus")
-        s = pow(m, self.d, self.n)
+        # CRT with Garner recombination: the same s = m^d mod n, about
+        # three times cheaper than one full-width exponentiation.
+        s_p = pow(m, self.dp, self.p)
+        s_q = pow(m, self.dq, self.q)
+        s = s_q + (self.qinv * (s_p - s_q) % self.p) * self.q
         return s.to_bytes(self.byte_length, "big")
 
 
@@ -110,4 +124,7 @@ def generate_keypair(bits: int = DEFAULT_KEY_BITS) -> RsaPrivateKey:
             d = modinv(_PUBLIC_EXPONENT, phi)
         except ValueError:
             continue  # gcd(e, phi) != 1 — regenerate
-        return RsaPrivateKey(n=n, e=_PUBLIC_EXPONENT, d=d)
+        return RsaPrivateKey(
+            n=n, e=_PUBLIC_EXPONENT, d=d, p=p, q=q,
+            dp=d % (p - 1), dq=d % (q - 1), qinv=modinv(q, p),
+        )

@@ -318,7 +318,12 @@ class DurableNode:
     # -- introspection ------------------------------------------------------
 
     def published_ids(self) -> frozenset[str]:
-        """Credential ids the node currently holds as published."""
+        """Every credential id the node has ever seen published.
+
+        Revoked credentials are included: ``_creds`` is never pruned on
+        revoke, so snapshots and recovery carry them too.  Pair with
+        ``state_payload()["revoked"]`` for the live set.
+        """
         return frozenset(self._creds)
 
     def state_payload(self) -> dict[str, Any]:

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.rsa import RsaPublicKey, generate_keypair
+from repro.crypto.numtheory import bytes_to_int
+from repro.crypto.rsa import RsaPublicKey, _encode_digest, generate_keypair
 from repro.errors import SignatureError
+
+
+# Several generated keys, so CRT signing is checked across different p and q.
+_KEYS = [generate_keypair(512) for _ in range(4)]
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +70,33 @@ class TestSignVerify:
 
     def test_require_valid_passes(self, keypair):
         keypair.public_key.require_valid(b"msg", keypair.sign(b"msg"))
+
+
+class TestCrtSigning:
+    """``sign`` uses the CRT parameters; the signature must be the textbook one."""
+
+    @staticmethod
+    def _textbook(kp, message: bytes) -> bytes:
+        em = bytes_to_int(_encode_digest(message, kp.byte_length))
+        return pow(em, kp.d, kp.n).to_bytes(kp.byte_length, "big")
+
+    @given(st.integers(min_value=0, max_value=len(_KEYS) - 1), st.binary(max_size=512))
+    def test_crt_equals_textbook(self, index, message):
+        kp = _KEYS[index]
+        sig = kp.sign(message)
+        assert sig == self._textbook(kp, message)
+        assert kp.public_key.verify(message, sig)
+
+    def test_crt_parameters(self, keypair):
+        assert keypair.p * keypair.q == keypair.n
+        assert keypair.dp == keypair.d % (keypair.p - 1)
+        assert keypair.dq == keypair.d % (keypair.q - 1)
+        assert keypair.qinv * keypair.q % keypair.p == 1
+
+    def test_repr_hides_crt_parameters(self, keypair):
+        text = repr(keypair)
+        assert str(keypair.p) not in text and str(keypair.dp) not in text
+        assert "qinv" not in text
 
 
 class TestKeys:
