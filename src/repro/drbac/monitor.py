@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .delegation import Delegation
 
@@ -96,6 +96,18 @@ class RevocationDirectory:
         never fire again — their unsubscribe closures become no-ops.
         """
         self._authorities.clear()
+
+    def restore(self, pairs: Iterable[Sequence[str]]) -> None:
+        """Bulk-load revocations from ``(home, credential_id)`` pairs.
+
+        For crash recovery right after :meth:`reset`: no subscriber
+        exists then, so each id goes straight into its authority's
+        revoked set without :meth:`RevocationAuthority.revoke`'s per-id
+        notification walk.  It notifies no one, so it is not for a
+        directory with live subscriptions.
+        """
+        for home, credential_id in pairs:
+            self.authority(home)._revoked.add(credential_id)
 
 
 class MonitorHub:

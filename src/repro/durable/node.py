@@ -15,7 +15,7 @@ makes node restart a real, lossy event:
   treated as lost;
 * :meth:`restart` runs the recovery protocol: replay snapshot+WAL (a
   torn tail shortens the replay to a valid prefix), rebuild the
-  incremental indexes by republishing the recovered credential set,
+  incremental indexes by republishing the recovered live credentials,
   re-subscribe monitor callbacks, pull exactly the missed gap
   ``(last_durable_seqno, peer_seqno]`` from the feed, and conservatively
   evict every cache entry not provable from the recovered state.
@@ -97,8 +97,13 @@ class UpdateFeed:
         )
 
     def since(self, seqno: int) -> list[tuple[int, str, dict]]:
-        """Every update with sequence number strictly greater than ``seqno``."""
-        return [u for u in self._updates if u[0] > seqno]
+        """Every update with sequence number strictly greater than ``seqno``.
+
+        Sequence numbers run contiguously from 1, so the update numbered
+        ``n`` sits at index ``n - 1`` and the gap is one slice: O(gap),
+        not O(every update ever emitted).
+        """
+        return self._updates[max(seqno, 0):]
 
 
 @dataclass(slots=True)
@@ -163,7 +168,11 @@ class DurableNode:
         self.recoveries = 0
         # Ordered durable-state mirror, rebuilt from disk on recovery:
         # publish order matters (repository bucket order and incremental
-        # folds are order-sensitive), so a dict in insertion order.
+        # folds are order-sensitive), so a dict in insertion order.  It
+        # holds live credentials only (``_creds`` and ``_revoked_ids`` are
+        # disjoint): a revoked delegation is dead for good, so it is
+        # remembered as a revocation fact, not carried in snapshots and
+        # republished on every restart.
         self._creds: dict[str, dict] = {}
         self._revoked: list[list] = []
         self._revoked_ids: set[str] = set()
@@ -187,11 +196,20 @@ class DurableNode:
     def _fold(self, seq: int, kind: str, payload: dict) -> None:
         """Fold one update into the in-memory durable-state mirror."""
         if kind == "publish":
-            self._creds.setdefault(payload["cred"]["id"], payload)
+            self._fold_publish(payload)
         elif kind == "revoke":
-            if payload["id"] not in self._revoked_ids:
-                self._revoked_ids.add(payload["id"])
-                self._revoked.append([payload["home"], payload["id"]])
+            self._fold_revoke(payload["home"], payload["id"])
+
+    def _fold_publish(self, payload: dict) -> None:
+        cred_id = payload["cred"]["id"]
+        if cred_id not in self._revoked_ids:
+            self._creds.setdefault(cred_id, payload)
+
+    def _fold_revoke(self, home: str, cred_id: str) -> None:
+        self._creds.pop(cred_id, None)
+        if cred_id not in self._revoked_ids:
+            self._revoked_ids.add(cred_id)
+            self._revoked.append([home, cred_id])
 
     def _apply(self, kind: str, payload: dict) -> None:
         if kind == "publish":
@@ -244,12 +262,12 @@ class DurableNode:
         self.last_seqno = 0
         if snapshot is not None:
             self.last_seqno = int(snapshot["seq"])
-            for cred_payload in snapshot["creds"]:
-                self._creds.setdefault(cred_payload["cred"]["id"], cred_payload)
+            # Revocations first, so a credential the snapshot lists as
+            # both live and revoked stays out of the mirror.
             for home, cred_id in snapshot["revoked"]:
-                if cred_id not in self._revoked_ids:
-                    self._revoked_ids.add(cred_id)
-                    self._revoked.append([home, cred_id])
+                self._fold_revoke(home, cred_id)
+            for cred_payload in snapshot["creds"]:
+                self._fold_publish(cred_payload)
         for record in records:
             self.last_seqno = max(self.last_seqno, int(record["seq"]))
             self._fold(int(record["seq"]), record["kind"], record["payload"])
@@ -262,10 +280,9 @@ class DurableNode:
         if incr is not None:
             incr.reset()
 
-        # Revocations first: the incremental engine's publish gate then
-        # skips dead credentials instead of folding and re-killing them.
-        for home, cred_id in self._revoked:
-            engine.revocations.authority(home).revoke(cred_id)
+        # Revocations first, in one bulk load (the reset left no
+        # subscriber to notify), then the live credentials.
+        engine.revocations.restore(self._revoked)
         for payload in self._creds.values():
             self._apply("publish", payload)
         obs.counter(metric_names.RECOVER_REPLAYED).inc(len(records))
@@ -318,11 +335,11 @@ class DurableNode:
     # -- introspection ------------------------------------------------------
 
     def published_ids(self) -> frozenset[str]:
-        """Every credential id the node has ever seen published.
+        """The ids of the live credentials in the node's durable state.
 
-        Revoked credentials are included: ``_creds`` is never pruned on
-        revoke, so snapshots and recovery carry them too.  Pair with
-        ``state_payload()["revoked"]`` for the live set.
+        A revoked credential is dropped on revoke (and never added if its
+        revocation arrived first); ``state_payload()["revoked"]`` lists
+        the revoked ids.
         """
         return frozenset(self._creds)
 

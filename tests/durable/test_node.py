@@ -12,6 +12,8 @@ coarser tests until a revocation goes unheard.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.clock import ManualClock
@@ -76,6 +78,22 @@ class TestLivePath:
                 engine=DrbacEngine(key_store=key_store, clock=ManualClock()),
                 feed=feed, mutation="made-up",
             )
+
+
+class TestUpdateFeed:
+    def test_since_returns_exactly_the_gap(self, key_store, feed):
+        world = World(key_store, feed)
+        creds = [world.sign("OrgA", f"user{i}", "OrgA.Reader") for i in range(4)]
+        for cred in creds:
+            feed.publish(cred)
+        feed.revoke(creds[0])
+        assert feed.seqno == 5
+        assert [seq for seq, _, _ in feed.since(0)] == [1, 2, 3, 4, 5]
+        assert [seq for seq, _, _ in feed.since(3)] == [4, 5]
+        assert [kind for _, kind, _ in feed.since(4)] == ["revoke"]
+        assert feed.since(feed.seqno) == []
+        assert feed.since(feed.seqno + 10) == []
+        assert feed.since(-1) == feed.since(0)
 
 
 class TestRecovery:
@@ -145,6 +163,46 @@ class TestRecovery:
         assert report.wal_records_replayed == 2
         assert world.holds("user0", "OrgA.Reader")
         assert world.holds("user9", "OrgA.Reader")
+
+    def test_snapshot_and_recovery_carry_live_credentials_only(
+        self, key_store, feed
+    ):
+        world = World(key_store, feed, compact_every=4)
+        creds = [
+            world.sign("OrgA", f"user{i}", "OrgA.Reader") for i in range(10)
+        ]
+        for cred in creds:
+            feed.publish(cred)
+        for cred in creds[:7]:
+            feed.revoke(cred)
+        live = {cred.credential_id for cred in creds[7:]}
+        assert world.node.published_ids() == live
+        verdicts = {i: world.holds(f"user{i}", "OrgA.Reader") for i in range(10)}
+        assert verdicts == {i: i >= 7 for i in range(10)}
+        world.node.crash()
+        report = world.node.restart()
+        assert world.node.published_ids() == live
+        # 17 records: the last compaction ran after the 16th (10
+        # publishes, 6 revokes), when 4 credentials were live.
+        assert report.snapshot_creds == 4
+        assert report.wal_records_replayed == 1
+        assert {
+            i: world.holds(f"user{i}", "OrgA.Reader") for i in range(10)
+        } == verdicts
+
+    def test_revoke_before_publish_stays_revoked(self, world, feed):
+        cred = world.sign("OrgA", "Alice", "OrgA.Reader")
+        feed.revoke(cred)
+        feed.publish(cred)  # late or re-delivered publish of a dead id
+        assert cred.credential_id not in world.node.published_ids()
+        assert not world.holds("Alice", "OrgA.Reader")
+        world.node.crash()
+        world.node.restart()
+        assert cred.credential_id not in world.node.published_ids()
+        assert not world.holds("Alice", "OrgA.Reader")
+        feed.publish(cred)  # re-delivered after recovery: still dead
+        assert cred.credential_id not in world.node.published_ids()
+        assert not world.holds("Alice", "OrgA.Reader")
 
     def test_version_stays_monotonic_across_recovery(self, world, feed):
         feed.publish(world.sign("OrgA", "Alice", "OrgA.Reader"))
@@ -238,3 +296,81 @@ class TestCacheRebuild:
         # proof monitors, and incremental engine — recoveries must not
         # stack duplicate subscriptions.
         assert len(hub._channels) <= 6 + len(world.cache._watches)
+
+
+_SUBJECTS = ("user0", "user1", "user2")
+_ROLES = ("OrgA.Reader", "OrgA.Writer", "OrgB.Member")
+
+_property_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("publish"),
+            st.sampled_from(_SUBJECTS + ("OrgA.Writer",)),
+            st.sampled_from(_ROLES),
+            st.sampled_from([None, 5.0]),
+        ),
+        st.tuples(st.just("revoke"), st.integers(0, 31)),
+        st.tuples(st.just("revoke-first"), st.sampled_from(_SUBJECTS)),
+        st.tuples(st.just("redeliver"), st.integers(0, 31)),
+        st.tuples(st.just("advance"), st.sampled_from([1.0, 3.0])),
+        st.tuples(st.just("crash")),
+        st.tuples(st.just("restart"), st.integers(0, 40)),
+    ),
+    max_size=24,
+)
+
+
+class TestRecoveryMatchesNeverCrashedNode:
+    """Property: any crash/torn-restart schedule ends where a control ends."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(ops=_property_ops)
+    def test_crashy_node_matches_control(self, key_store, ops):
+        feed = UpdateFeed()
+        crashy = World(key_store, feed, compact_every=3)
+        control = World(key_store, feed)
+        issued = []
+        revoked = set()
+        for op in ops:
+            if op[0] == "publish":
+                _, subject, role, ttl = op
+                issuer = role.split(".", 1)[0]
+                cred = crashy.sign(issuer, subject, role, ttl=ttl)
+                issued.append(cred)
+                feed.publish(cred)
+            elif op[0] == "revoke" and issued:
+                cred = issued[op[1] % len(issued)]
+                revoked.add(cred.credential_id)
+                feed.revoke(cred)
+            elif op[0] == "revoke-first":
+                cred = crashy.sign("OrgA", op[1], "OrgA.Reader")
+                issued.append(cred)
+                revoked.add(cred.credential_id)
+                feed.revoke(cred)
+                feed.publish(cred)
+            elif op[0] == "redeliver" and issued:
+                feed.publish(issued[op[1] % len(issued)])
+            elif op[0] == "advance":
+                crashy.clock.advance(op[1])
+                control.clock.advance(op[1])
+            elif op[0] == "crash" and crashy.node.up:
+                crashy.node.crash()
+            elif op[0] == "restart" and not crashy.node.up:
+                crashy.node.restart(torn_tail_bytes=op[1])
+        if not crashy.node.up:
+            crashy.node.restart()
+
+        live = {c.credential_id for c in issued} - revoked
+        self._assert_same(crashy, control, live)
+        for cred in issued:  # re-deliver everything: the dead stay dead
+            feed.publish(cred)
+        self._assert_same(crashy, control, live)
+
+    @staticmethod
+    def _assert_same(crashy, control, live):
+        assert control.node.published_ids() == live
+        assert crashy.node.published_ids() == live
+        assert crashy.node.state_digest() == control.node.state_digest()
+        for subject in _SUBJECTS + ("OrgA.Writer",):
+            for role in _ROLES:
+                assert crashy.holds(subject, role) == control.holds(subject, role)
